@@ -238,16 +238,6 @@ func TestFM0DecodeEmpty(t *testing.T) {
 	}
 }
 
-func TestCRC16KnownVector(t *testing.T) {
-	// CRC-16/X.25-style parameters (poly 0x1021, init 0xFFFF, xorout
-	// 0xFFFF, no reflection): "123456789" → 0xD64E per standard tables
-	// for CRC-16/GENIBUS.
-	got := CRC16([]byte("123456789"))
-	if got != 0xD64E {
-		t.Errorf("CRC16 = %#04x, want 0xD64E", got)
-	}
-}
-
 func TestCRC16AppendAndCheck(t *testing.T) {
 	data := []byte{0xDE, 0xAD, 0xBE, 0xEF}
 	frame := AppendCRC16(append([]byte(nil), data...))

@@ -98,10 +98,13 @@ func FM0DecodeMLAppend(dst []byte, halves []float64) []byte {
 	trellis := (*tp)[:n+1]
 	trellis[0][statePos] = fm0Node{cost: 0}
 	trellis[0][stateNeg] = fm0Node{cost: 0}
+	// Reset whole nodes, not only costs: a state no path reaches (every
+	// cost overflowed to +Inf) is still traced back through, and must not
+	// lead into the previous decode's nodes from the pool.
 	inf := math.Inf(1)
 	for i := 1; i <= n; i++ {
-		trellis[i][0].cost = inf
-		trellis[i][1].cost = inf
+		trellis[i][0] = fm0Node{cost: inf}
+		trellis[i][1] = fm0Node{cost: inf}
 	}
 
 	levelOf := func(s int) float64 {

@@ -64,3 +64,27 @@ func TestFM0DecodeMLAppendZeroAlloc(t *testing.T) {
 		t.Errorf("warm FM0DecodeMLAppend allocated %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestFM0DecodeMLOverflowIndependentOfPool: samples large enough that every
+// path cost overflows to +Inf leave the trellis unreached, and the
+// traceback must not follow a previous decode's nodes out of the pooled
+// trellis. The overflow frame decodes the same after any earlier frame.
+func TestFM0DecodeMLOverflowIndependentOfPool(t *testing.T) {
+	huge := []float64{1e200, -1e200, 1e200, 1e200, -1e200, -1e200, 1e200, -1e200}
+	var first []byte
+	for _, prior := range [][]byte{{1, 1, 1, 1}, {0, 0, 0, 0}, {1, 0, 1, 1}} {
+		halves, err := FM0Encode(prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		FM0DecodeML(halves)
+		got := FM0DecodeML(huge)
+		if first == nil {
+			first = got
+			continue
+		}
+		if !bytes.Equal(got, first) {
+			t.Fatalf("after decoding %v the overflow frame decodes to %v, first %v", prior, got, first)
+		}
+	}
+}

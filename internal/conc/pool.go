@@ -1,10 +1,12 @@
 package conc
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"ecocapsule/internal/prng"
 )
 
 // Queues runs fn(q, item) for every item in [0, counts[q]) of every queue q,
@@ -79,7 +81,7 @@ func Queues(counts []int, seed int64, fn func(q, item int)) {
 				// workers fan out over the remaining queues instead of
 				// convoying on the lowest index.
 				stole := false
-				start := rng.Intn(len(counts))
+				start := rng.IntN(len(counts))
 				for off := 0; off < len(counts); off++ {
 					q := (start + off) % len(counts)
 					if q == home {
@@ -95,7 +97,7 @@ func Queues(counts []int, seed int64, fn func(q, item int)) {
 					return // every queue drained
 				}
 			}
-		}(w%len(counts), rand.New(rand.NewSource(seed+int64(w))))
+		}(w%len(counts), prng.New(seed+int64(w)))
 	}
 	wg.Wait()
 	if p := firstPanic.Load(); p != nil {

@@ -2,7 +2,9 @@ package dsp
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
+
+	"ecocapsule/internal/prng"
 )
 
 // NoiseSource generates deterministic Gaussian noise for the channel
@@ -11,9 +13,10 @@ type NoiseSource struct {
 	rng *rand.Rand
 }
 
-// NewNoiseSource returns a source seeded with the given value.
+// NewNoiseSource returns a source on its own PCG stream (see package prng):
+// O(1) to seed, and adjacent seeds give independent streams.
 func NewNoiseSource(seed int64) *NoiseSource {
-	return &NoiseSource{rng: rand.New(rand.NewSource(seed))}
+	return &NoiseSource{rng: prng.New(seed)}
 }
 
 // Gaussian returns one sample of zero-mean Gaussian noise with the given
@@ -26,7 +29,7 @@ func (n *NoiseSource) Gaussian(sigma float64) float64 {
 func (n *NoiseSource) Uniform() float64 { return n.rng.Float64() }
 
 // Intn returns a uniform integer in [0, max).
-func (n *NoiseSource) Intn(max int) int { return n.rng.Intn(max) }
+func (n *NoiseSource) Intn(max int) int { return n.rng.IntN(max) }
 
 // AddAWGN adds white Gaussian noise of the given standard deviation to x
 // in place and returns x for chaining.

@@ -51,3 +51,42 @@ func BenchmarkFleetInventory(b *testing.B) {
 		}
 	}
 }
+
+// City-segment benchmarks: the 5,000-capsule, 8-shard segment the
+// repository benchmark's city_survey workload runs, viewed from inside the
+// package. Survey is timed warm (one survey before the clock starts); the
+// build is timed on its own because it is the bring-up cost.
+const (
+	benchCityCapsules = 5000
+	benchCityShards   = 8
+)
+
+// BenchmarkCitySurvey measures one warm survey of the city segment.
+func BenchmarkCitySurvey(b *testing.B) {
+	f, err := NewCityFleet(benchCityCapsules, benchCityShards, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.SetEnvironment(CityEnvironment)
+	if rep := f.Survey(0.4); rep.Reporting != rep.Expected {
+		b.Fatalf("warm-up survey: %d of %d reporting", rep.Reporting, rep.Expected)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := f.Survey(0.4); rep.Reporting != rep.Expected {
+			b.Fatalf("survey: %d of %d reporting", rep.Reporting, rep.Expected)
+		}
+	}
+}
+
+// BenchmarkCityBuild measures constructing the city segment: the range
+// sweep, every station's channels, the capsules' sensors and slotters.
+func BenchmarkCityBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCityFleet(benchCityCapsules, benchCityShards, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

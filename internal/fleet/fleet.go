@@ -28,8 +28,10 @@ package fleet
 //ecolint:deterministic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,7 +49,7 @@ import (
 // Fleet is a set of readers attached to one structure, partitioned into
 // spatial shards.
 //
-// readers, nodes, grid, amps and the shard skeletons (cells, stations,
+// readers, nodes, grid, amps, order and the shard skeletons (cells, stations,
 // nodes, seed) are immutable after construction; each capsule's MCU state
 // is only ever driven through one goroutine at a time, so stations operate
 // concurrently without touching each other's capsules. Mutable state splits
@@ -68,6 +70,11 @@ type Fleet struct {
 	// construction (drive voltage and path gain never change afterwards) so
 	// rerouting and read ordering touch no reader locks.
 	amps map[uint16][]float64
+	// order[handle] lists the stations that reach the capsule, best
+	// amplitude first, ties by ascending station index: the read and
+	// reroute preference, fixed with amps at construction so a read only
+	// filters it by liveness.
+	order map[uint16][]int
 	// shards partition the capsules; shardByHandle finds a capsule's owner.
 	shards        []*shard
 	shardByHandle map[uint16]*shard
@@ -179,6 +186,7 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		grid:          grid,
 		alive:         make([]bool, len(plan.Stations)),
 		amps:          make(map[uint16][]float64, len(capsules)),
+		order:         make(map[uint16][]int, len(capsules)),
 		shardByHandle: make(map[uint16]*shard, len(capsules)),
 		seed:          seed,
 	}
@@ -189,14 +197,12 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		}
 		f.amps[n.Handle()] = a
 	}
-	// coveredBy[station] marks the capsules inside the station's cells.
-	coveredBy := make([]map[uint16]bool, len(plan.Stations))
-	for i := range coveredBy {
-		coveredBy[i] = make(map[uint16]bool)
-	}
+	// covered[station] lists the capsules inside the station's cells, in
+	// capsule order.
+	covered := make([][]*node.Node, len(plan.Stations))
 	for _, n := range capsules {
 		for _, st := range cellStations[grid.CellOf(n.Position())] {
-			coveredBy[st][n.Handle()] = true
+			covered[st] = append(covered[st], n)
 		}
 	}
 	for i, st := range plan.Stations {
@@ -210,10 +216,7 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		if err != nil {
 			return nil, fmt.Errorf("fleet: station %d: %w", i, err)
 		}
-		for _, n := range capsules {
-			if !coveredBy[i][n.Handle()] {
-				continue
-			}
+		for _, n := range covered[i] {
 			if err := r.Deploy(n); err != nil {
 				// Partial coverage: this station cannot serve the capsule,
 				// but another might.
@@ -229,13 +232,11 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 		f.alive[i] = true
 	}
 	for _, n := range capsules {
-		served := false
-		for _, amp := range f.amps[n.Handle()] {
-			served = served || amp >= 0
-		}
-		if !served {
+		order := stationOrder(f.amps[n.Handle()])
+		if len(order) == 0 {
 			return nil, fmt.Errorf("fleet: capsule %#04x unreachable from every station", n.Handle())
 		}
+		f.order[n.Handle()] = order
 	}
 	cellOf := func(n *node.Node) int { return grid.CellOf(n.Position()) }
 	f.shards = buildShards(shardsN, grid.Cells(), cellStations, cellOf, capsules, seed)
@@ -255,7 +256,7 @@ func build(s *geometry.Structure, plan deploy.Plan, capsules []*node.Node, seed 
 func (f *Fleet) rerouteAllLocked() {
 	for _, sh := range f.shards {
 		sh.mu.Lock()
-		sh.rerouteLocked(f.alive, f.amps)
+		sh.rerouteLocked(f.alive, f.amps, f.order)
 		sh.mu.Unlock()
 	}
 	mReroutes.Inc()
@@ -590,7 +591,7 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 // shard's rerouted counter.
 func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, best int, sh *shard) ([]float64, int, error) {
 	if len(stations) == 0 {
-		mFleetReads.With(routeFailed).Inc()
+		mReadsFailed.Inc()
 		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	}
 	var lastErr error
@@ -598,9 +599,9 @@ func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, be
 		vals, err := f.readers[idx].ReadSensor(handle, st)
 		if err == nil {
 			if idx == best {
-				mFleetReads.With(routePrimary).Inc()
+				mReadsPrimary.Inc()
 			} else {
-				mFleetReads.With(routeRerouted).Inc()
+				mReadsRerouted.Inc()
 				if sh != nil {
 					sh.mu.Lock()
 					sh.reroutedReads++
@@ -611,7 +612,7 @@ func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, be
 		}
 		lastErr = err
 	}
-	mFleetReads.With(routeFailed).Inc()
+	mReadsFailed.Inc()
 	return nil, -1, fmt.Errorf("fleet: capsule %#04x unreadable from %d station(s): %w",
 		handle, len(stations), lastErr)
 }
@@ -629,37 +630,29 @@ func (f *Fleet) ReroutedReads() int {
 }
 
 // readOrder lists the alive stations that can reach the capsule, best
-// amplitude first, from the immutable amplitude table and the given
-// liveness snapshot.
+// amplitude first: the capsule's construction-time station order filtered
+// by the given liveness snapshot.
 func (f *Fleet) readOrder(handle uint16, alive []bool) []int {
-	amps, ok := f.amps[handle]
-	if !ok {
-		return nil
-	}
-	type cand struct {
-		idx int
-		amp float64
-	}
-	var cands []cand
-	for i := range f.readers {
-		if !alive[i] || amps[i] < 0 {
-			continue
+	order := f.order[handle]
+	out := make([]int, 0, len(order))
+	for _, i := range order {
+		if alive[i] {
+			out = append(out, i)
 		}
-		cands = append(cands, cand{idx: i, amp: amps[i]})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].amp > cands[b].amp {
-			return true
+	return out
+}
+
+// stationOrder lists the stations with a built channel (amplitude >= 0),
+// best amplitude first, ties broken by ascending station index.
+func stationOrder(amps []float64) []int {
+	var out []int
+	for i, a := range amps {
+		if a >= 0 {
+			out = append(out, i)
 		}
-		if cands[a].amp < cands[b].amp {
-			return false
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.idx
 	}
+	slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(amps[b], amps[a]) })
 	return out
 }
 

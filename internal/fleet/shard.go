@@ -101,28 +101,24 @@ func buildShards(n int, cells int, cellStations [][]int, cellOf func(*node.Node)
 	return shards
 }
 
-// rerouteLocked resolves the shard's best alive station per capsule from
-// the fleet's precomputed amplitude table and liveness snapshot. Capsules
-// with no alive server drop out of best (orphans). Caller holds the
-// fleet's route lock (write) and sh.mu.
-func (sh *shard) rerouteLocked(alive []bool, amps map[uint16][]float64) {
+// rerouteLocked resolves the shard's best alive station per capsule: the
+// first alive station of the capsule's construction-time order, provided
+// it delivers a positive amplitude. Capsules with no alive server drop out
+// of best (orphans). Caller holds the fleet's route lock (write) and sh.mu.
+func (sh *shard) rerouteLocked(alive []bool, amps map[uint16][]float64, order map[uint16][]int) {
 	for h := range sh.best {
 		delete(sh.best, h)
 	}
 	for _, n := range sh.nodes {
 		h := n.Handle()
-		a := amps[h]
-		bestIdx, bestAmp := -1, 0.0
-		for _, i := range sh.stations {
-			if !alive[i] || a[i] < 0 {
+		for _, i := range order[h] {
+			if !alive[i] {
 				continue
 			}
-			if a[i] > bestAmp {
-				bestIdx, bestAmp = i, a[i]
+			if amps[h][i] > 0 {
+				sh.best[h] = i
 			}
-		}
-		if bestIdx >= 0 {
-			sh.best[h] = bestIdx
+			break
 		}
 	}
 }

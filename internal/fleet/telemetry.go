@@ -44,6 +44,14 @@ const (
 	routeFailed   = "failed"
 )
 
+// The route children every read touches, resolved once so the hot path
+// skips the family's label lookup and the handle allocation.
+var (
+	mReadsPrimary  = mFleetReads.With(routePrimary)
+	mReadsRerouted = mFleetReads.With(routeRerouted)
+	mReadsFailed   = mFleetReads.With(routeFailed)
+)
+
 // stationLabel renders a station index the way every metric labels it.
 func stationLabel(i int) string { return strconv.Itoa(i) }
 

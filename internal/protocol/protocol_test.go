@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -233,6 +234,52 @@ func TestSlotterUniformity(t *testing.T) {
 	for slot, c := range counts {
 		if c < 800 || c > 1200 {
 			t.Errorf("slot %d drawn %d times of 8000; distribution skewed", slot, c)
+		}
+	}
+}
+
+// chiSquareCrit approximates the upper 0.1% point of the χ² distribution
+// with k degrees of freedom (Wilson–Hilferty).
+func chiSquareCrit(k int) float64 {
+	const z = 3.0902 // standard normal upper 0.1% point
+	kf := float64(k)
+	c := 1 - 2/(9*kf) + z*math.Sqrt(2/(9*kf))
+	return kf * c * c * c
+}
+
+// chiSquareUniform returns the χ² statistic of counts against a uniform
+// expectation.
+func chiSquareUniform(counts []int, draws int) float64 {
+	want := float64(draws) / float64(len(counts))
+	var chi float64
+	for _, c := range counts {
+		d := float64(c) - want
+		chi += d * d / want
+	}
+	return chi
+}
+
+// TestSlotterChiSquare: BeginRound(q) draws uniformly over [0, 2^q), both
+// along one slotter's rounds and across the first round of slotters seeded
+// with adjacent integers, as the capsules of a deployment are.
+func TestSlotterChiSquare(t *testing.T) {
+	for _, q := range []int{1, 2, 4, 6} {
+		slots := 1 << q
+		draws := 200 * slots
+		along := make([]int, slots)
+		s := NewSlotter(int64(q))
+		for i := 0; i < draws; i++ {
+			along[s.BeginRound(q)]++
+		}
+		across := make([]int, slots)
+		for i := 0; i < draws; i++ {
+			across[NewSlotter(int64(1000+i)).BeginRound(q)]++
+		}
+		crit := chiSquareCrit(slots - 1)
+		for name, counts := range map[string][]int{"along one slotter": along, "across seeds": across} {
+			if chi := chiSquareUniform(counts, draws); chi > crit {
+				t.Errorf("q=%d %s: χ² = %.1f over %d slots exceeds %.1f", q, name, chi, slots, crit)
+			}
 		}
 	}
 }

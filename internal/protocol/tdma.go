@@ -1,7 +1,9 @@
 package protocol
 
 import (
-	"math/rand"
+	"math/rand/v2"
+
+	"ecocapsule/internal/prng"
 )
 
 // Slotter implements the node side of the TDMA inventory (§3.4): on a
@@ -15,9 +17,9 @@ type Slotter struct {
 	inRound bool
 }
 
-// NewSlotter returns a slotter seeded deterministically.
+// NewSlotter returns a slotter on its own seeded PCG stream (package prng).
 func NewSlotter(seed int64) *Slotter {
-	return &Slotter{rng: rand.New(rand.NewSource(seed))}
+	return &Slotter{rng: prng.New(seed)}
 }
 
 // BeginRound draws a fresh slot for a round of 2^q slots and returns it.
@@ -28,7 +30,7 @@ func (s *Slotter) BeginRound(q int) int {
 	if q > 15 {
 		q = 15
 	}
-	s.slot = s.rng.Intn(1 << uint(q))
+	s.slot = s.rng.IntN(1 << uint(q))
 	s.inRound = true
 	return s.slot
 }

@@ -7,7 +7,6 @@ import (
 	"ecocapsule/internal/channel"
 	"ecocapsule/internal/coding"
 	"ecocapsule/internal/dsp"
-	"ecocapsule/internal/node"
 	"ecocapsule/internal/phy"
 	"ecocapsule/internal/protocol"
 	"ecocapsule/internal/sensors"
@@ -65,16 +64,10 @@ var ErrAcousticDecode = errors.New("reader: acoustic decode failed")
 // addressed, powered-up node.
 func (r *Reader) AcousticReadSensor(handle uint16, st sensors.SensorType, cfg AcousticConfig) ([]float64, error) {
 	r.mu.Lock()
-	var target interface {
-		HandleDownlink(protocol.Packet, sensors.Environment) (*protocol.UplinkFrame, error)
-	}
+	target := r.byHandle[handle]
 	var env sensors.Environment
-	for _, n := range r.nodes {
-		if n.Handle() == handle {
-			target = n
-			env = r.env(n.Position())
-			break
-		}
+	if target != nil {
+		env = r.env(target.Position())
 	}
 	ch := r.chans[handle]
 	r.mu.Unlock()
@@ -93,7 +86,7 @@ func (r *Reader) AcousticReadSensor(handle uint16, st sensors.SensorType, cfg Ac
 		return nil, err
 	}
 	if up == nil {
-		return nil, errors.New("reader: node stayed silent")
+		return nil, ErrSilent
 	}
 	payload := up.Bits() // framed + CRC, as bits
 
@@ -190,13 +183,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 	r.mu.Lock()
 	for i, h := range handles {
 		out[i].Handle = h
-		var target *node.Node
-		for _, n := range r.nodes {
-			if n.Handle() == h {
-				target = n
-				break
-			}
-		}
+		target := r.byHandle[h]
 		if target == nil || r.chans[h] == nil {
 			out[i].Err = fmt.Errorf("reader: unknown node %#04x", h)
 			continue
@@ -209,7 +196,7 @@ func (r *Reader) AcousticReadRound(handles []uint16, st sensors.SensorType, cfg 
 			continue
 		}
 		if up == nil {
-			out[i].Err = errors.New("reader: node stayed silent")
+			out[i].Err = ErrSilent
 			continue
 		}
 		payload := up.Bits()

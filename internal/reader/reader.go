@@ -62,7 +62,10 @@ type Reader struct {
 	cfg Config
 
 	nodes []*node.Node
-	chans map[uint16]*channel.Channel
+	// byHandle finds a deployed node without scanning nodes; a handle
+	// deployed twice keeps its first node.
+	byHandle map[uint16]*node.Node
+	chans    map[uint16]*channel.Channel
 
 	// env provides the physical ground truth for sensor sampling.
 	env func(pos geometry.Vec3) sensors.Environment
@@ -126,6 +129,7 @@ func NewWithLinkCache(cfg Config, cache *channel.Cache) (*Reader, error) {
 	}
 	return &Reader{
 		cfg:                     cfg,
+		byHandle:                make(map[uint16]*node.Node),
 		chans:                   make(map[uint16]*channel.Channel),
 		env:                     func(geometry.Vec3) sensors.Environment { return sensors.Environment{} },
 		PZTCouplingVoltsPerUnit: DefaultPZTCoupling,
@@ -169,6 +173,9 @@ func (r *Reader) Deploy(n *node.Node) error {
 		return fmt.Errorf("reader: channel to node %#04x: %w", n.Handle(), err)
 	}
 	r.nodes = append(r.nodes, n)
+	if _, ok := r.byHandle[n.Handle()]; !ok {
+		r.byHandle[n.Handle()] = n
+	}
 	r.chans[n.Handle()] = ch
 	mLinkGain.With(handleLabel(n.Handle())).Set(ch.PathGain())
 	mLinkSNR.With(handleLabel(n.Handle())).Set(
@@ -373,11 +380,11 @@ func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryRes
 			switch len(replies) {
 			case 0:
 				outcome.Empties++
-				mSlots.With(slotEmpty).Inc()
+				mSlotsEmpty.Inc()
 				r.endSlotSpan("empty")
 			case 1:
 				outcome.Singles++
-				mSlots.With(slotSingle).Inc()
+				mSlotsSingle.Inc()
 				h := replies[0].Handle
 				if !found[h] {
 					found[h] = true
@@ -389,7 +396,7 @@ func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryRes
 			default:
 				outcome.Collisions++
 				res.Collisions++
-				mSlots.With(slotCollision).Inc()
+				mSlotsCollision.Inc()
 				r.endSlotSpan("collision")
 				// Collided nodes stay replying; sleep them back to
 				// standby so the next round redraws their slots.
@@ -432,20 +439,18 @@ func (r *Reader) endSlotSpan(outcome string) {
 	}
 }
 
+// ErrSilent reports that an addressed node sent no reply: it was not
+// powered, or every reply was lost on the link.
+var ErrSilent = errors.New("reader: node stayed silent")
+
 // ReadSensor requests one sensor reading from an addressed node and decodes
 // the reply.
 func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var target *node.Node
-	for _, n := range r.nodes {
-		if n.Handle() == handle {
-			target = n
-			break
-		}
-	}
+	target := r.byHandle[handle]
 	if target == nil {
-		mReads.With(readErr).Inc()
+		mReadsErr.Inc()
 		return nil, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
 	readSpan := r.startSpanLocked("read")
@@ -458,7 +463,7 @@ func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, er
 	if r.faults != nil && r.retry.MaxAttempts > 0 {
 		attempts += r.retry.MaxAttempts
 	}
-	lastErr := errors.New("reader: node stayed silent")
+	lastErr := ErrSilent
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.faultStats.Retries++
@@ -518,7 +523,11 @@ func (r *Reader) endAttemptSpan(outcome string) {
 
 // finishRead records the read result metric and closes the read root span.
 func (r *Reader) finishRead(sp *telemetry.Span, result string, attempts int) {
-	mReads.With(result).Inc()
+	if result == readOK {
+		mReadsOK.Inc()
+	} else {
+		mReadsErr.Inc()
+	}
 	if sp != nil {
 		sp.Attr("result", result).Attr("attempts", attempts).End()
 	}

@@ -1,8 +1,10 @@
 package reader
 
 import (
+	"errors"
 	"testing"
 
+	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/node"
 	"ecocapsule/internal/sensors"
@@ -170,6 +172,22 @@ func TestReadSensorThroughReader(t *testing.T) {
 	}
 	if _, err := r.ReadSensor(0x99, sensors.TypeStrain); err == nil {
 		t.Error("unknown node must error")
+	}
+}
+
+// TestReadSensorSilentIsErrSilent: a read whose every frame is lost fails
+// with the ErrSilent sentinel, which callers match with errors.Is.
+func TestReadSensorSilentIsErrSilent(t *testing.T) {
+	r, err := New(wallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployNode(t, r, 0x21, 1.2)
+	r.Charge(0.3)
+	r.SetFrameFaults(faultinject.MustNew(faultinject.Plan{Seed: 1, FrameLossProb: 1}))
+	_, err = r.ReadSensor(0x21, sensors.TypeTempHumidity)
+	if !errors.Is(err, ErrSilent) {
+		t.Fatalf("read with every frame lost: got %v, want ErrSilent", err)
 	}
 }
 

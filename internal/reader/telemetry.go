@@ -47,6 +47,16 @@ const (
 	readErr = "error"
 )
 
+// The labelled children every slot and read touches, resolved once so the
+// hot path skips the family's label lookup and the handle allocation.
+var (
+	mSlotsEmpty     = mSlots.With(slotEmpty)
+	mSlotsSingle    = mSlots.With(slotSingle)
+	mSlotsCollision = mSlots.With(slotCollision)
+	mReadsOK        = mReads.With(readOK)
+	mReadsErr       = mReads.With(readErr)
+)
+
 // handleLabel renders a capsule handle the way every metric labels it.
 func handleLabel(h uint16) string { return fmt.Sprintf("0x%04x", h) }
 
