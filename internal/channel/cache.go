@@ -29,8 +29,8 @@ package channel
 //     that mutate structures in place (the value key already protects
 //     correctness; eager dropping reclaims the memory).
 //
-// Per-channel mutable state (the deterministic noise source, the
-// impairment hook) is never shared: every Channel gets its own.
+// Per-channel mutable state (the deterministic noise source) is never
+// shared: every Channel gets its own.
 
 import (
 	"sync"

@@ -4,21 +4,26 @@
 // dead reader stations, stuck sensors, and dropped monitoring connections —
 // and an Injector turns the plan into reproducible per-event decisions.
 //
-// The consumers (reader, fleet, shmwire, channel) each define a small
-// interface at their point of use; the Injector implements all of them, so
-// a single plan drives the whole pipeline without forking any hot path.
-// Because every draw comes from one seeded source consumed in the
-// deterministic order the simulation visits stations and capsules, the same
-// plan and seed reproduce the same failures byte for byte.
+// The consumers (reader, fleet, shmwire) each define a small interface at
+// their point of use; the Injector implements all of them, so a single
+// plan drives the whole pipeline without forking any hot path.
+//
+// Every random decision is keyed rather than streamed: the n-th draw made
+// for a capsule is a pure function of (plan seed, capsule handle, n). A
+// capsule's frames are only ever exchanged by one goroutine at a time, so
+// its draws happen in protocol order whatever else runs concurrently, and
+// the same plan reproduces the same failures byte for byte on any schedule
+// — a sharded survey fanned out over every core included.
 package faultinject
 
 //ecolint:deterministic
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 
+	"ecocapsule/internal/prng"
 	"ecocapsule/internal/telemetry"
 )
 
@@ -57,12 +62,6 @@ type Plan struct {
 	// ConnDropAfterFrames makes a wrapped monitoring connection fail after
 	// this many successful reads (0 = never) — the shmwire reconnect case.
 	ConnDropAfterFrames int
-
-	// FadeProb is the per-transmission probability of an acoustic fade (a
-	// transient blocker in the propagation path); FadeDepth is the fraction
-	// of amplitude removed when a fade hits (1 = total blackout).
-	FadeProb  float64
-	FadeDepth float64
 }
 
 // Validate checks the plan's probabilities and counts.
@@ -75,8 +74,6 @@ func (p Plan) Validate() error {
 		{"FrameCorruptProb", p.FrameCorruptProb},
 		{"BitFlipBER", p.BitFlipBER},
 		{"BrownoutProb", p.BrownoutProb},
-		{"FadeProb", p.FadeProb},
-		{"FadeDepth", p.FadeDepth},
 	} {
 		if pr.v < 0 || pr.v > 1 {
 			return fmt.Errorf("faultinject: %s = %g outside [0, 1]", pr.name, pr.v)
@@ -94,7 +91,8 @@ func (p Plan) Validate() error {
 }
 
 // Stats counts what the injector actually did — tests assert on these and
-// reports annotate degradation with them.
+// reports annotate degradation with them. Fades is always zero: no layer
+// injects acoustic fades; the field stays for callers that report it.
 type Stats struct {
 	DownlinkDropped   int
 	DownlinkCorrupted int
@@ -105,23 +103,27 @@ type Stats struct {
 }
 
 // Injector executes a Plan deterministically. All methods are safe for
-// concurrent use; determinism additionally requires the callers to consume
-// draws in a deterministic order, which the simulation's fixed
-// station/capsule iteration order provides.
+// concurrent use, and draws for different capsules may interleave in any
+// order without changing any outcome or Stats.
 type Injector struct {
-	mu   sync.Mutex
 	plan Plan
-	//ecolint:guardedby mu
-	rng *rand.Rand
-	//ecolint:guardedby mu
-	dead map[int]bool
-	//ecolint:guardedby mu
+	// dead, muted and stuck are fixed by New and only read afterwards.
+	dead  map[int]bool
 	muted map[uint16]bool
-	//ecolint:guardedby mu
 	stuck map[uint16]bool
+	// draws[h>>8][h&0xff] counts the draws made so far for capsule h: the
+	// index of its next keyed draw. Pages are allocated on first use, so a
+	// small plan pays for the handles it touches, and a draw takes no lock
+	// shared with other capsules.
+	draws [256]atomic.Pointer[drawPage]
+
+	mu sync.Mutex
 	//ecolint:guardedby mu
 	stats Stats
 }
+
+// drawPage holds the draw counters of 256 consecutive capsule handles.
+type drawPage [256]atomic.Uint64
 
 // New validates the plan and builds its injector.
 func New(plan Plan) (*Injector, error) {
@@ -130,7 +132,6 @@ func New(plan Plan) (*Injector, error) {
 	}
 	in := &Injector{
 		plan:  plan,
-		rng:   rand.New(rand.NewSource(plan.Seed)),
 		dead:  make(map[int]bool, len(plan.DeadStations)),
 		muted: make(map[uint16]bool, len(plan.MutedCapsules)),
 		stuck: make(map[uint16]bool, len(plan.StuckSensors)),
@@ -160,23 +161,60 @@ func MustNew(plan Plan) *Injector {
 // Plan returns a copy of the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
+// stream is one capsule's sequence of keyed draws.
+type stream struct {
+	seed, handle uint64
+	n            *atomic.Uint64
+}
+
+// stream returns the capsule's draw sequence, positioned at its next draw.
+func (in *Injector) stream(handle uint16) stream {
+	slot := &in.draws[handle>>8]
+	page := slot.Load()
+	if page == nil {
+		slot.CompareAndSwap(nil, new(drawPage))
+		page = slot.Load()
+	}
+	return stream{seed: uint64(in.plan.Seed), handle: uint64(handle), n: &page[handle&0xff]}
+}
+
+// next returns the capsule's next draw: a pure function of (plan seed,
+// handle, the handle's draw index).
+func (s stream) next() uint64 { return prng.Keyed(s.seed, s.handle, s.n.Add(1)-1) }
+
+// uniform returns the capsule's next draw as a uniform float in [0, 1).
+func (s stream) uniform() float64 { return float64(s.next()>>11) * 0x1p-53 }
+
+// inflict counts one injected fault of the given kind and records it on the
+// metric and the flight recorder.
+func (in *Injector) inflict(kind, detail string) {
+	in.mu.Lock()
+	switch kind {
+	case kindDownlinkDropped:
+		in.stats.DownlinkDropped++
+	case kindDownlinkCorrupted:
+		in.stats.DownlinkCorrupted++
+	case kindUplinkDropped:
+		in.stats.UplinkDropped++
+	case kindUplinkCorrupted:
+		in.stats.UplinkCorrupted++
+	case kindBrownout:
+		in.stats.Brownouts++
+	}
+	in.mu.Unlock()
+	mInjected.With(kind).Inc()
+	telemetry.RecordFlight("faultinject", kind, detail)
+}
+
 // Downlink implements the reader's frame-fault hook for reader→capsule
 // frames: it returns the (possibly corrupted) frame and whether it arrived
 // at all. The returned slice is a copy; the input is never mutated.
 func (in *Injector) Downlink(handle uint16, frame []byte) ([]byte, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out, delivered, touched := in.frameLocked(frame)
+	out, delivered, touched := in.frame(in.stream(handle), frame)
 	if !delivered {
-		in.stats.DownlinkDropped++
-		mInjected.With(kindDownlinkDropped).Inc()
-		telemetry.RecordFlight("faultinject", "downlink_dropped",
-			fmt.Sprintf("frame to capsule 0x%04x lost in the concrete", handle))
+		in.inflict(kindDownlinkDropped, fmt.Sprintf("frame to capsule 0x%04x lost in the concrete", handle))
 	} else if touched {
-		in.stats.DownlinkCorrupted++
-		mInjected.With(kindDownlinkCorrupted).Inc()
-		telemetry.RecordFlight("faultinject", "downlink_corrupted",
-			fmt.Sprintf("frame to capsule 0x%04x took bit flips", handle))
+		in.inflict(kindDownlinkCorrupted, fmt.Sprintf("frame to capsule 0x%04x took bit flips", handle))
 	}
 	return out, delivered
 }
@@ -184,41 +222,31 @@ func (in *Injector) Downlink(handle uint16, frame []byte) ([]byte, bool) {
 // Uplink implements the reader's frame-fault hook for capsule→reader
 // frames. A muted capsule's uplink is always dropped.
 func (in *Injector) Uplink(handle uint16, frame []byte) ([]byte, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if in.muted[handle] {
-		in.stats.UplinkDropped++
-		mInjected.With(kindUplinkDropped).Inc()
-		telemetry.RecordFlight("faultinject", "uplink_dropped",
-			fmt.Sprintf("capsule 0x%04x is muted", handle))
+		in.inflict(kindUplinkDropped, fmt.Sprintf("capsule 0x%04x is muted", handle))
 		return nil, false
 	}
-	out, delivered, touched := in.frameLocked(frame)
+	out, delivered, touched := in.frame(in.stream(handle), frame)
 	if !delivered {
-		in.stats.UplinkDropped++
-		mInjected.With(kindUplinkDropped).Inc()
-		telemetry.RecordFlight("faultinject", "uplink_dropped",
-			fmt.Sprintf("backscatter from capsule 0x%04x never reached the RX", handle))
+		in.inflict(kindUplinkDropped, fmt.Sprintf("backscatter from capsule 0x%04x never reached the RX", handle))
 	} else if touched {
-		in.stats.UplinkCorrupted++
-		mInjected.With(kindUplinkCorrupted).Inc()
-		telemetry.RecordFlight("faultinject", "uplink_corrupted",
-			fmt.Sprintf("backscatter from capsule 0x%04x took bit flips", handle))
+		in.inflict(kindUplinkCorrupted, fmt.Sprintf("backscatter from capsule 0x%04x took bit flips", handle))
 	}
 	return out, delivered
 }
 
-// frameLocked applies loss, burst corruption, and BER to one frame.
-func (in *Injector) frameLocked(frame []byte) (out []byte, delivered, touched bool) {
-	if in.plan.FrameLossProb > 0 && in.rng.Float64() < in.plan.FrameLossProb {
+// frame applies loss, burst corruption, and BER to one frame to or from
+// the capsule whose draws s yields.
+func (in *Injector) frame(s stream, frame []byte) (out []byte, delivered, touched bool) {
+	if in.plan.FrameLossProb > 0 && s.uniform() < in.plan.FrameLossProb {
 		return nil, false, false
 	}
 	out = frame
-	if in.plan.FrameCorruptProb > 0 && in.rng.Float64() < in.plan.FrameCorruptProb && len(frame) > 0 {
+	if in.plan.FrameCorruptProb > 0 && s.uniform() < in.plan.FrameCorruptProb && len(frame) > 0 {
 		out = append([]byte(nil), out...)
-		flips := 1 + in.rng.Intn(4)
+		flips := 1 + int(s.next()%4)
 		for i := 0; i < flips; i++ {
-			bit := in.rng.Intn(len(out) * 8)
+			bit := int(s.next() % uint64(len(out)*8))
 			out[bit/8] ^= 1 << uint(7-bit%8)
 		}
 		touched = true
@@ -226,7 +254,7 @@ func (in *Injector) frameLocked(frame []byte) (out []byte, delivered, touched bo
 	if in.plan.BitFlipBER > 0 && len(frame) > 0 {
 		copied := touched
 		for i := 0; i < len(out)*8; i++ {
-			if in.rng.Float64() < in.plan.BitFlipBER {
+			if s.uniform() < in.plan.BitFlipBER {
 				if !copied {
 					out = append([]byte(nil), out...)
 					copied = true
@@ -242,52 +270,18 @@ func (in *Injector) frameLocked(frame []byte) (out []byte, delivered, touched bo
 // Brownout implements the reader's capsule-fault hook: drawn once per
 // downlink delivery, true means the capsule loses power mid-operation.
 func (in *Injector) Brownout(handle uint16) bool {
-	if in.plan.BrownoutProb <= 0 {
+	if in.plan.BrownoutProb <= 0 || in.stream(handle).uniform() >= in.plan.BrownoutProb {
 		return false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() < in.plan.BrownoutProb {
-		in.stats.Brownouts++
-		mInjected.With(kindBrownout).Inc()
-		telemetry.RecordFlight("faultinject", "brownout",
-			fmt.Sprintf("capsule 0x%04x lost its storage charge mid-operation", handle))
-		return true
-	}
-	return false
-}
-
-// Attenuate implements the channel's acoustic-fade hook: one draw per
-// transmission, returning the amplitude factor to apply (1 = clean).
-func (in *Injector) Attenuate() float64 {
-	if in.plan.FadeProb <= 0 {
-		return 1
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() < in.plan.FadeProb {
-		in.stats.Fades++
-		mInjected.With(kindFade).Inc()
-		telemetry.RecordFlight("faultinject", "fade",
-			fmt.Sprintf("acoustic fade, amplitude x%.2f", 1-in.plan.FadeDepth))
-		return 1 - in.plan.FadeDepth
-	}
-	return 1
+	in.inflict(kindBrownout, fmt.Sprintf("capsule 0x%04x lost its storage charge mid-operation", handle))
+	return true
 }
 
 // StationDead implements the fleet's station-fault hook.
-func (in *Injector) StationDead(station int) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dead[station]
-}
+func (in *Injector) StationDead(station int) bool { return in.dead[station] }
 
 // SensorStuck reports whether a capsule's sensors are planned to freeze.
-func (in *Injector) SensorStuck(handle uint16) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stuck[handle]
-}
+func (in *Injector) SensorStuck(handle uint16) bool { return in.stuck[handle] }
 
 // Stats returns a snapshot of the injector's counters.
 func (in *Injector) Stats() Stats {

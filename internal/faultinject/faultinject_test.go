@@ -3,6 +3,7 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,48 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 	if a.Stats() != b.Stats() {
 		t.Errorf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
+	}
+}
+
+// TestInjectorDrawsAreOrderFree pins the keyed-draw contract: each
+// capsule's outcomes depend only on its own call sequence, so interleaving
+// two capsules' exchanges as AB…AB or as BB…AA changes no capsule's
+// outcomes and no counter.
+func TestInjectorDrawsAreOrderFree(t *testing.T) {
+	plan := Plan{Seed: 42, FrameLossProb: 0.2, FrameCorruptProb: 0.3, BitFlipBER: 0.01, BrownoutProb: 0.1}
+	frame := []byte{0xAA, 0x3C, 0x01, 0xFF, 0xFF, 0x00, 0x12, 0x34}
+	const a, b, exchanges = 0x10, 0x11, 200
+	// exchange runs one brownout/downlink/uplink cycle and renders it.
+	exchange := func(in *Injector, h uint16) string {
+		brown := in.Brownout(h)
+		down, dok := in.Downlink(h, frame)
+		up, uok := in.Uplink(h, frame)
+		return fmt.Sprintf("%v %v %x %v %x", brown, dok, down, uok, up)
+	}
+	interleaved := MustNew(plan)
+	var ia, ib []string
+	for i := 0; i < exchanges; i++ {
+		ia = append(ia, exchange(interleaved, a))
+		ib = append(ib, exchange(interleaved, b))
+	}
+	grouped := MustNew(plan)
+	var gb, ga []string
+	for i := 0; i < exchanges; i++ {
+		gb = append(gb, exchange(grouped, b))
+	}
+	for i := 0; i < exchanges; i++ {
+		ga = append(ga, exchange(grouped, a))
+	}
+	for i := range ia {
+		if ia[i] != ga[i] || ib[i] != gb[i] {
+			t.Fatalf("exchange %d depends on interleaving:\nA %q vs %q\nB %q vs %q", i, ia[i], ga[i], ib[i], gb[i])
+		}
+	}
+	if interleaved.Stats() != grouped.Stats() {
+		t.Errorf("stats depend on interleaving: %+v vs %+v", interleaved.Stats(), grouped.Stats())
+	}
+	if s := grouped.Stats(); s.DownlinkDropped == 0 || s.UplinkCorrupted == 0 || s.Brownouts == 0 {
+		t.Errorf("plan injected too little to compare: %+v", s)
 	}
 }
 

@@ -78,26 +78,3 @@ func TestConcurrentReadsAndInventory(t *testing.T) {
 		<-done
 	}
 }
-
-// TestSurveyParallelMatchesSerial pins the determinism contract of the
-// parallel survey: with no fault hook installed, the fanned-out survey
-// must produce byte-identical text to the serial schedule (which the
-// fault path still uses).
-func TestSurveyParallelMatchesSerial(t *testing.T) {
-	run := func(forceSerial bool) string {
-		f, _ := wallFleet(t)
-		f.SetEnvironment(surveyEnv)
-		if forceSerial {
-			f.route.Lock()
-			f.faultsOn = true // serial schedule without any installed hook
-			f.route.Unlock()
-		}
-		return f.Survey(0.4).Text()
-	}
-	parallel := run(false)
-	serial := run(true)
-	if parallel != serial {
-		t.Errorf("parallel survey diverged from serial:\n--- parallel\n%s--- serial\n%s",
-			parallel, serial)
-	}
-}

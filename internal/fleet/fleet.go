@@ -13,9 +13,10 @@
 // cells — its stations, capsules, routing table and scheduling RNG stream.
 // Survey, inventory and charge run as per-shard batched passes on a
 // work-stealing pool (conc.Queues) whose partial reports merge in
-// shard-index order, byte-identical to a serial run at any shard count. The
-// classic flat constructor (New) is the 1-shard, 1-cell special case with
-// every capsule deployed into every station, preserved bit-for-bit.
+// shard-index order, byte-identical to a serial run at any shard count,
+// faulted or traced alike. The classic flat constructor (New) is the
+// 1-shard, 1-cell special case with every capsule deployed into every
+// station, preserved bit-for-bit.
 //
 // Stations fail in the field: a reader falls off the wall, loses mains
 // power, or its cable corrodes. The fleet therefore tracks per-station
@@ -53,8 +54,8 @@ import (
 // nodes, seed) are immutable after construction; each capsule's MCU state
 // is only ever driven through one goroutine at a time, so stations operate
 // concurrently without touching each other's capsules. Mutable state splits
-// two ways: fleet-wide liveness and execution mode live behind the route
-// lock, per-capsule routing lives behind each shard's own mutex. Lock order
+// two ways: fleet-wide liveness and the tracer live behind the route lock,
+// per-capsule routing lives behind each shard's own mutex. Lock order
 // is route before shard mu; KillStation and ReviveStation hold the route
 // write lock across all their shard rewrites, so a reader holding route
 // (read) plus the shard locks observes routing that is never torn.
@@ -89,15 +90,7 @@ type Fleet struct {
 	// alive[i] reports whether station i is operational.
 	//ecolint:guardedby route
 	alive []bool
-	// faultsOn records that a frame-fault hook is installed. Injectors
-	// consume one shared seeded RNG, so the fleet falls back to its serial
-	// TDMA schedule to keep fault draws — and golden traces —
-	// reproducible.
-	//ecolint:guardedby route
-	faultsOn bool
-	// tracer is the span tracer surveys attach to. Spans draw IDs from the
-	// tracer's seeded RNG, so a traced fleet also runs the serial schedule
-	// to keep span order reproducible.
+	// tracer is the span tracer surveys attach to (nil when untraced).
 	//ecolint:guardedby route
 	tracer *telemetry.Tracer
 }
@@ -362,23 +355,19 @@ func (f *Fleet) StationAlive(i int) bool {
 	return i >= 0 && i < len(f.alive) && f.alive[i]
 }
 
-// SetFrameFaults installs the frame-fault hook on every station's reader.
-// While a hook is installed, the fleet runs its serial TDMA schedule: the
-// injector draws from one shared seeded RNG, and concurrent stations would
-// consume those draws in scheduling order instead of protocol order.
+// SetFrameFaults installs (or, with nil, removes) the frame-fault hook on
+// every station's reader. The schedule does not change: a faultinject
+// injector keys each draw by capsule, so faulted surveys fan out like clean
+// ones and stay reproducible.
 func (f *Fleet) SetFrameFaults(ff reader.FrameFaults) {
 	for _, r := range f.readers {
 		r.SetFrameFaults(ff)
 	}
-	f.route.Lock()
-	f.faultsOn = ff != nil
-	f.route.Unlock()
 }
 
 // SetTracer installs (or, with nil, removes) a span tracer on the fleet and
-// every station reader. Spans consume the tracer's seeded RNG, so a traced
-// fleet — like a faulted one — visits capsules on the serial TDMA schedule
-// to keep span order byte-reproducible.
+// every station reader. Surveys then record one span tree, byte-identical
+// at any shard count (see SurveyTraced).
 func (f *Fleet) SetTracer(tr *telemetry.Tracer) {
 	for _, r := range f.readers {
 		r.SetTracer(tr)
@@ -494,17 +483,14 @@ func (f *Fleet) Charge(duration float64) int {
 }
 
 // Inventory inventories each alive station and merges the discoveries.
-// Without a fault hook, stations arbitrate concurrently as per-shard
-// batches on the work-stealing pool, each station soliciting only the
-// capsules it serves best (the fleet's TDMA partition made spatial), and
-// the merged set is sorted so the result is deterministic regardless of
-// scheduling. With frame faults installed the stations take strict turns
-// over the full population — the injector's shared RNG makes draw order
-// part of the reproducible behaviour.
+// Stations arbitrate concurrently as per-shard batches on the work-stealing
+// pool, each station soliciting only the capsules it serves best (the
+// fleet's TDMA partition made spatial), so every capsule's frames — and its
+// keyed fault draws — go through one station, and the merged set is sorted
+// so the result is deterministic regardless of scheduling.
 func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 	f.route.RLock()
 	alive := append([]bool(nil), f.alive...)
-	faultsOn := f.faultsOn
 	assigned := make([][]uint16, len(f.readers))
 	for _, sh := range f.shards {
 		sh.mu.Lock()
@@ -516,34 +502,22 @@ func (f *Fleet) Inventory(maxRoundsPerStation int) []uint16 {
 		sh.mu.Unlock()
 	}
 	f.route.RUnlock()
+	results := make([][]uint16, len(f.readers))
+	counts := make([]int, len(f.shards))
+	for qi, sh := range f.shards {
+		counts[qi] = len(sh.stations)
+	}
+	conc.Queues(counts, f.seed, func(q, item int) {
+		i := f.shards[q].stations[item]
+		if !alive[i] || len(assigned[i]) == 0 {
+			return
+		}
+		results[i] = f.readers[i].InventorySubset(maxRoundsPerStation, assigned[i]).Discovered
+	})
 	found := make(map[uint16]bool)
-	if faultsOn {
-		for i, r := range f.readers {
-			if !alive[i] {
-				continue
-			}
-			res := r.Inventory(maxRoundsPerStation)
-			for _, h := range res.Discovered {
-				found[h] = true
-			}
-		}
-	} else {
-		results := make([][]uint16, len(f.readers))
-		counts := make([]int, len(f.shards))
-		for qi, sh := range f.shards {
-			counts[qi] = len(sh.stations)
-		}
-		conc.Queues(counts, f.seed, func(q, item int) {
-			i := f.shards[q].stations[item]
-			if !alive[i] || len(assigned[i]) == 0 {
-				return
-			}
-			results[i] = f.readers[i].InventorySubset(maxRoundsPerStation, assigned[i]).Discovered
-		})
-		for _, discovered := range results {
-			for _, h := range discovered {
-				found[h] = true
-			}
+	for _, discovered := range results {
+		for _, h := range discovered {
+			found[h] = true
 		}
 	}
 	out := make([]uint16, 0, len(found))
@@ -583,20 +557,20 @@ func (f *Fleet) ReadSensorVia(handle uint16, st sensors.SensorType) ([]float64, 
 	}
 	f.route.RUnlock()
 	stations := f.readOrder(handle, alive)
-	return f.readVia(handle, st, stations, best, sh)
+	return f.readVia(nil, handle, st, stations, best, sh)
 }
 
 // readVia walks the candidate stations in order, returning the first
 // successful read and maintaining the routing metrics and the owning
-// shard's rerouted counter.
-func (f *Fleet) readVia(handle uint16, st sensors.SensorType, stations []int, best int, sh *shard) ([]float64, int, error) {
+// shard's rerouted counter. Read spans nest under parent when tracing.
+func (f *Fleet) readVia(parent *telemetry.Span, handle uint16, st sensors.SensorType, stations []int, best int, sh *shard) ([]float64, int, error) {
 	if len(stations) == 0 {
 		mReadsFailed.Inc()
 		return nil, -1, fmt.Errorf("fleet: no station serves capsule %#04x", handle)
 	}
 	var lastErr error
 	for _, idx := range stations {
-		vals, err := f.readers[idx].ReadSensor(handle, st)
+		vals, err := f.readers[idx].ReadSensorUnder(parent, handle, st)
 		if err == nil {
 			if idx == best {
 				mReadsPrimary.Inc()

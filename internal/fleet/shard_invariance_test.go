@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"ecocapsule/internal/faultinject"
 	"ecocapsule/internal/geometry"
 	"ecocapsule/internal/node"
+	"ecocapsule/internal/telemetry"
 )
 
 // shardedSurveyFleet builds a sharded fleet over fresh capsules (node state
@@ -39,23 +41,24 @@ func shardedSurveyFleet(t *testing.T, shards int) *Fleet {
 	return f
 }
 
+// shardCounts are the shard counts every invariance test compares against
+// the 1-shard reference; over-asking clamps to the cell count.
+var shardCounts = []int{3, 7, 1 << 10}
+
 // TestShardCountInvariance is the sharding contract as a property test:
 // capsule ownership keys off the geometry-derived cell grid, never the
 // shard count, so resharding the same fleet must leave the survey report
-// byte-identical — including to the strictly serial schedule, which the
-// 1-shard fleet runs when forced onto the fault path.
+// byte-identical — including to the 1-shard fleet, whose single queue
+// conc.Queues runs inline in ascending handle order.
 func TestShardCountInvariance(t *testing.T) {
-	serialFleet := shardedSurveyFleet(t, 1)
-	serialFleet.SetEnvironment(surveyEnv)
-	serialFleet.route.Lock()
-	serialFleet.faultsOn = true // serial schedule without any installed hook
-	serialFleet.route.Unlock()
-	serial := serialFleet.Survey(0.4).Text()
+	ref := shardedSurveyFleet(t, 1)
+	ref.SetEnvironment(surveyEnv)
+	serial := ref.Survey(0.4).Text()
 
-	for _, k := range []int{1, 3, 7, 1 << 10} { // over-asking clamps to the cell count
+	for _, k := range shardCounts {
 		f := shardedSurveyFleet(t, k)
 		f.SetEnvironment(surveyEnv)
-		if k > 1 && f.Shards() < 2 {
+		if f.Shards() < 2 {
 			t.Fatalf("shards=%d built only %d shards", k, f.Shards())
 		}
 		if got := f.Survey(0.4).Text(); got != serial {
@@ -65,25 +68,35 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardCountInvarianceUnderInjector extends the property to the fault
-// path: an installed injector draws from one shared seeded RNG, so every
-// shard count must fall back to the same global TDMA schedule and burn the
-// identical draw sequence — dead station, frame losses and all.
-func TestShardCountInvarianceUnderInjector(t *testing.T) {
+// TestTracedFaultedSurveyInvariance extends the property to faulted and
+// traced surveys: with a fault injector (dead station, frame loss and
+// corruption) and a tracer installed, the report, the injector's counters
+// and the span tree must be byte-identical at every shard count. Keyed
+// fault draws and keyed span IDs make all three independent of the
+// schedule; run it at -cpu 1,2,4 under -race to vary the interleaving.
+func TestTracedFaultedSurveyInvariance(t *testing.T) {
 	run := func(k int) string {
 		f := shardedSurveyFleet(t, k)
 		f.SetEnvironment(surveyEnv)
-		f.ApplyInjector(faultinject.MustNew(faultinject.Plan{
-			Seed:          11,
-			FrameLossProb: 0.15,
-			DeadStations:  []int{1},
-		}))
-		return f.Survey(0.4).Text()
+		in := faultinject.MustNew(faultinject.Plan{
+			Seed:             11,
+			FrameLossProb:    0.15,
+			FrameCorruptProb: 0.10,
+			DeadStations:     []int{1},
+		})
+		f.ApplyInjector(in)
+		tr := telemetry.NewTracer(5)
+		f.SetTracer(tr)
+		rep := f.Survey(0.4)
+		if k == 1 && (rep.Retries == 0 || rep.CorruptedReplies == 0 || len(rep.DeadStations) != 1) {
+			t.Fatalf("fault plan left no mark on the survey:\n%s", rep.Text())
+		}
+		return fmt.Sprintf("%s%+v\n%s", rep.Text(), in.Stats(), tr.Tree())
 	}
 	serial := run(1)
-	for _, k := range []int{3, 7} {
+	for _, k := range shardCounts {
 		if got := run(k); got != serial {
-			t.Errorf("shards=%d diverged under injector:\n--- shards=%d\n%s--- serial\n%s",
+			t.Errorf("shards=%d diverged from 1-shard serial:\n--- shards=%d\n%s--- serial\n%s",
 				k, k, got, serial)
 		}
 	}

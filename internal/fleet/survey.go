@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -95,41 +95,32 @@ func (rep SHMReport) Text() string {
 // every capsule through its best station (falling back through alternates),
 // and assembles the health report. Rows come out in ascending handle order.
 //
-// Capsules are independent at this layer — each has its own MCU state and
-// seeded sensor RNG, and every reader serialises its own acoustic link —
-// so the per-capsule reads fan out over the cores and land in per-index
-// row slots, reproducing the serial report byte for byte. The exception is
-// an installed frame-fault hook: its injector draws from one shared seeded
-// RNG, so the fleet visits capsules serially to keep the draw order (and
-// the golden traces pinned on it) reproducible.
+// Capsules are independent at this layer — each has its own MCU state,
+// seeded sensor stream and keyed fault draws, and every reader serialises
+// its own acoustic link — so the per-capsule reads fan out as per-shard
+// batches over the cores and land in per-index row slots, reproducing the
+// 1-shard report byte for byte at any shard count, faulted or traced.
 func (f *Fleet) Survey(chargeDuration float64) SHMReport {
 	rep, _ := f.SurveyTraced(chargeDuration)
 	return rep
 }
 
 // SurveyTraced runs Survey under one root span. When a tracer is installed
-// (SetTracer), every reader's charge/inventory/read spans nest under the
-// returned "survey" span, so a single trace tree covers the whole fleet
-// pass; the caller may hang broadcast spans off it before it is rendered.
-// Without a tracer the span is nil and the survey is identical to Survey.
+// (SetTracer), the span holds the charge stage and one "capsule" span per
+// capsule, opened in ascending handle order before the fan-out; each
+// capsule's read spans nest under its own span, so the tree is the same
+// whatever the schedule. The caller may hang broadcast spans off the
+// returned span before it is rendered. Without a tracer the span is nil
+// and the survey is identical to Survey.
 func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span) {
 	before := f.FaultStats()
 	reroutedBefore := f.ReroutedReads()
 	f.route.RLock()
-	serial := f.faultsOn || f.tracer != nil
 	tracer := f.tracer
 	f.route.RUnlock()
 	var sp *telemetry.Span
 	if tracer != nil {
 		sp = tracer.Start("survey")
-		for _, r := range f.readers {
-			r.SetSpanParent(sp)
-		}
-		defer func() {
-			for _, r := range f.readers {
-				r.SetSpanParent(nil)
-			}
-		}()
 	}
 	// The fleet charge drives node excitation directly (not through
 	// reader.Charge), so the survey span records the stage itself.
@@ -152,53 +143,48 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 		Expected:      len(f.nodes),
 		Orphans:       snap.orphans,
 	}
+	capsuleSpans := f.openCapsuleSpans(sp)
 	visit := func(h uint16) SurveyRow {
+		csp := capsuleSpans[h]
 		row := SurveyRow{Handle: h, Station: snap.bestOf(h)}
 		if snap.orphan[h] {
 			row.Status = "orphan"
-			return row
-		}
-		stations := f.readOrder(h, snap.alive)
-		sh := f.shardByHandle[h]
-		th, servedT, errT := f.readVia(h, sensors.TypeTempHumidity, stations, row.Station, sh)
-		st, _, errS := f.readVia(h, sensors.TypeStrain, stations, row.Station, sh)
-		if errT != nil || errS != nil || len(th) < 2 || len(st) < 2 {
-			row.Status = "missing"
 		} else {
-			row.Status = "ok"
-			// Report the station that actually answered, which a fallback
-			// read can make different from the snapshot's best.
-			row.Station = servedT
-			row.TemperatureC, row.RelativeHumidity = th[0], th[1]
-			row.StrainX, row.StrainY = st[0], st[1]
+			stations := f.readOrder(h, snap.alive)
+			sh := f.shardByHandle[h]
+			th, servedT, errT := f.readVia(csp, h, sensors.TypeTempHumidity, stations, row.Station, sh)
+			st, _, errS := f.readVia(csp, h, sensors.TypeStrain, stations, row.Station, sh)
+			if errT != nil || errS != nil || len(th) < 2 || len(st) < 2 {
+				row.Status = "missing"
+			} else {
+				row.Status = "ok"
+				// Report the station that actually answered, which a
+				// fallback read can make different from the snapshot's
+				// best.
+				row.Station = servedT
+				row.TemperatureC, row.RelativeHumidity = th[0], th[1]
+				row.StrainX, row.StrainY = st[0], st[1]
+			}
+		}
+		if csp != nil {
+			csp.Attr("station", row.Station).Attr("status", row.Status).End()
 		}
 		return row
 	}
-	var rows []SurveyRow
-	if serial {
-		// Fault injectors and tracers draw from shared seeded RNGs, so the
-		// visit order must be the global TDMA schedule — ascending handle
-		// over the whole fleet — regardless of the shard count.
-		for _, nr := range f.sortedNodes() {
-			rows = append(rows, visit(nr.handle))
-		}
-	} else {
-		// Per-shard batched passes on the work-stealing pool; each shard's
-		// partial report lands pre-sorted in its own slot and the
-		// hierarchical aggregator folds them in shard-index order.
-		shardRows := make([][]SurveyRow, len(f.shards))
-		counts := make([]int, len(f.shards))
-		for qi, sh := range f.shards {
-			shardRows[qi] = make([]SurveyRow, len(sh.nodes))
-			counts[qi] = len(sh.nodes)
-		}
-		conc.Queues(counts, f.seed, func(q, item int) {
-			shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
-		})
-		rows = mergeRows(shardRows)
+	// Per-shard batched passes on the work-stealing pool; each shard's
+	// partial report lands pre-sorted in its own slot and the hierarchical
+	// aggregator folds them in shard-index order.
+	shardRows := make([][]SurveyRow, len(f.shards))
+	counts := make([]int, len(f.shards))
+	for qi, sh := range f.shards {
+		shardRows[qi] = make([]SurveyRow, len(sh.nodes))
+		counts[qi] = len(sh.nodes)
 	}
+	conc.Queues(counts, f.seed, func(q, item int) {
+		shardRows[q][item] = visit(f.shards[q].nodes[item].Handle())
+	})
 	// Fold the merged rows into the report; Missing inherits handle order.
-	for _, row := range rows {
+	for _, row := range mergeRows(shardRows) {
 		if row.Status == "missing" {
 			rep.Missing = append(rep.Missing, row.Handle)
 		}
@@ -236,20 +222,24 @@ func (f *Fleet) SurveyTraced(chargeDuration float64) (SHMReport, *telemetry.Span
 	return rep, sp
 }
 
-// nodeRef pairs a handle with its slice position for sorted traversal.
-type nodeRef struct {
-	handle uint16
-	idx    int
-}
-
-// sortedNodes lists the fleet's capsules in ascending handle order.
-func (f *Fleet) sortedNodes() []*nodeRef {
-	out := make([]*nodeRef, len(f.nodes))
-	for i, n := range f.nodes {
-		out[i] = &nodeRef{handle: n.Handle(), idx: i}
+// openCapsuleSpans opens one "capsule" child of the survey span per
+// capsule, in ascending handle order, and returns them by handle. Opening
+// them before the fan-out fixes their order and IDs; each capsule's visit
+// then builds its subtree alone. A nil survey span returns a nil map.
+func (f *Fleet) openCapsuleSpans(survey *telemetry.Span) map[uint16]*telemetry.Span {
+	if survey == nil {
+		return nil
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].handle < out[b].handle })
-	return out
+	handles := make([]uint16, len(f.nodes))
+	for i, n := range f.nodes {
+		handles[i] = n.Handle()
+	}
+	slices.Sort(handles)
+	spans := make(map[uint16]*telemetry.Span, len(handles))
+	for _, h := range handles {
+		spans[h] = survey.Child("capsule").Attrf("capsule", "0x%04x", h)
+	}
+	return spans
 }
 
 // joinInts renders ints as a comma list.

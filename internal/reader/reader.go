@@ -83,12 +83,8 @@ type Reader struct {
 
 	// tracer, when non-nil, records interrogation spans; span is the
 	// current parent for frame deliveries (only mutated under mu).
-	// spanParent, when set, nests the reader's root spans (charge,
-	// inventory, read) under an external parent — the fleet's survey span —
-	// so one trace covers the whole pipeline.
-	tracer     *telemetry.Tracer
-	span       *telemetry.Span
-	spanParent *telemetry.Span
+	tracer *telemetry.Tracer
+	span   *telemetry.Span
 
 	// links shares the expensive per-link channel state (impulse
 	// responses + convolution plans) across deployments. The reader owns
@@ -216,7 +212,7 @@ func (r *Reader) nodeAmplitudeLocked(handle uint16) (float64, error) {
 func (r *Reader) Charge(duration float64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp := r.startSpanLocked("charge")
+	sp := r.startSpanLocked(nil, "charge")
 	if sp != nil {
 		sp.Attrf("duration_s", "%g", duration)
 	}
@@ -330,7 +326,7 @@ func (r *Reader) InventorySubset(maxRounds int, handles []uint16) InventoryResul
 
 func (r *Reader) inventoryLocked(maxRounds int, nodes []*node.Node) InventoryResult {
 	mInventories.Inc()
-	invSpan := r.startSpanLocked("inventory")
+	invSpan := r.startSpanLocked(nil, "inventory")
 	if invSpan != nil {
 		invSpan.Attr("max_rounds", maxRounds)
 		defer func() { r.span = nil }()
@@ -446,6 +442,13 @@ var ErrSilent = errors.New("reader: node stayed silent")
 // ReadSensor requests one sensor reading from an addressed node and decodes
 // the reply.
 func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, error) {
+	return r.ReadSensorUnder(nil, handle, st)
+}
+
+// ReadSensorUnder is ReadSensor with its "read" span opened as a child of
+// parent — the fleet passes each capsule's survey span so one trace covers
+// charge → interrogation → broadcast. A nil parent opens a root span.
+func (r *Reader) ReadSensorUnder(parent *telemetry.Span, handle uint16, st sensors.SensorType) ([]float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	target := r.byHandle[handle]
@@ -453,7 +456,7 @@ func (r *Reader) ReadSensor(handle uint16, st sensors.SensorType) ([]float64, er
 		mReadsErr.Inc()
 		return nil, fmt.Errorf("reader: unknown node %#04x", handle)
 	}
-	readSpan := r.startSpanLocked("read")
+	readSpan := r.startSpanLocked(parent, "read")
 	if readSpan != nil {
 		readSpan.Attr("capsule", handleLabel(handle)).Attr("sensor", st.String())
 		defer func() { r.span = nil }()

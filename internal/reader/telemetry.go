@@ -76,24 +76,15 @@ func (r *Reader) Tracer() *telemetry.Tracer {
 	return r.tracer
 }
 
-// SetSpanParent nests the reader's root spans (charge, inventory, read)
-// under sp — the fleet installs its survey span here so one trace covers
-// charge → interrogation → broadcast. Nil restores independent roots.
-func (r *Reader) SetSpanParent(sp *telemetry.Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spanParent = sp
-}
-
-// startSpanLocked opens a top-level reader span: a child of the installed
-// span parent when one is set, else a fresh root on the tracer. Returns
-// nil when tracing is off. Callers hold r.mu.
-func (r *Reader) startSpanLocked(name string) *telemetry.Span {
+// startSpanLocked opens a top-level reader span: a child of parent when
+// one is given, else a fresh root on the tracer. Returns nil when tracing
+// is off. Callers hold r.mu.
+func (r *Reader) startSpanLocked(parent *telemetry.Span, name string) *telemetry.Span {
 	if r.tracer == nil {
 		return nil
 	}
-	if r.spanParent != nil {
-		return r.spanParent.Child(name)
+	if parent != nil {
+		return parent.Child(name)
 	}
 	return r.tracer.Start(name)
 }

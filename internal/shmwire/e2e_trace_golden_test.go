@@ -18,13 +18,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// e2eTraceScenario runs the pinned end-to-end trace: a one-station fleet
-// surveys two capsules under 5 % injected frame loss, broadcasts the
-// resulting status over a real TCP shmwire session with the survey span's
-// trace context attached, and a reconnecting subscriber records the
-// remote-parented receipt. It returns the broadcaster's and the
-// subscriber's rendered span trees.
-func e2eTraceScenario(t *testing.T) (serverTree, clientTree string) {
+// e2eFleet builds the pinned end-to-end fleet: one station surveying two
+// capsules under 5 % injected frame loss.
+func e2eFleet(t *testing.T) *fleet.Fleet {
 	t.Helper()
 	wall := geometry.CommonWall()
 	var capsules []*node.Node
@@ -50,6 +46,16 @@ func e2eTraceScenario(t *testing.T) (serverTree, clientTree string) {
 		return sensors.Environment{TemperatureC: 20, RelativeHumidity: 55}
 	})
 	fl.ApplyInjector(faultinject.MustNew(faultinject.Plan{Seed: 3, FrameLossProb: 0.05}))
+	return fl
+}
+
+// e2eTraceScenario runs the end-to-end trace over fl: the fleet surveys
+// under a seeded tracer, broadcasts the resulting status over a real TCP
+// shmwire session with the survey span's trace context attached, and a
+// reconnecting subscriber records the remote-parented receipt. It returns
+// the broadcaster's and the subscriber's rendered span trees.
+func e2eTraceScenario(t *testing.T, fl *fleet.Fleet) (serverTree, clientTree string) {
+	t.Helper()
 	fleetTracer := telemetry.NewTracer(42)
 	fl.SetTracer(fleetTracer)
 
@@ -119,7 +125,7 @@ func e2eTraceScenario(t *testing.T) (serverTree, clientTree string) {
 // byte-identical trees on both sides of the TCP session. Regenerate with:
 // go test ./internal/shmwire -run TestGoldenEndToEndTrace -update
 func TestGoldenEndToEndTrace(t *testing.T) {
-	serverTree, clientTree := e2eTraceScenario(t)
+	serverTree, clientTree := e2eTraceScenario(t, e2eFleet(t))
 	got := "=== server ===\n" + serverTree + "=== subscriber ===\n" + clientTree
 
 	golden := filepath.Join("testdata", "golden_e2e_trace.txt")
@@ -143,12 +149,63 @@ func TestGoldenEndToEndTrace(t *testing.T) {
 // TestEndToEndTraceDeterministic runs the scenario twice in one process;
 // fresh seeded tracers must reproduce both trees byte for byte.
 func TestEndToEndTraceDeterministic(t *testing.T) {
-	s1, c1 := e2eTraceScenario(t)
-	s2, c2 := e2eTraceScenario(t)
+	s1, c1 := e2eTraceScenario(t, e2eFleet(t))
+	s2, c2 := e2eTraceScenario(t, e2eFleet(t))
 	if s1 != s2 {
 		t.Error("same seeds, different server trees")
 	}
 	if c1 != c2 {
 		t.Error("same seeds, different subscriber trees")
+	}
+}
+
+// TestTracedFaultedBroadcastInvariance runs the end-to-end trace over a
+// sharded, faulted fleet (dead station, frame loss and corruption): the
+// broadcaster's and the subscriber's span trees must be byte-identical at
+// every shard count, because the survey's fault draws and span IDs are
+// keyed, not drawn in schedule order.
+func TestTracedFaultedBroadcastInvariance(t *testing.T) {
+	run := func(shards int) string {
+		wall := geometry.CommonWall()
+		var capsules []*node.Node
+		var positions []geometry.Vec3
+		for i := 0; i < 12; i++ {
+			pos := geometry.Vec3{X: 0.5 + float64(i)*1.6, Y: wall.Height / 2, Z: 0.1}
+			positions = append(positions, pos)
+			capsules = append(capsules, node.New(node.Config{
+				Handle:   uint16(0x40 + i),
+				Position: pos,
+				Seed:     int64(i),
+			}))
+		}
+		plan, err := deploy.Cover(wall, positions, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := fleet.NewSharded(wall, plan, capsules, 9, fleet.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards > 1 && fl.Shards() < 2 {
+			t.Fatalf("shards=%d built only %d shards", shards, fl.Shards())
+		}
+		fl.SetEnvironment(func(pos geometry.Vec3) sensors.Environment {
+			return sensors.Environment{TemperatureC: 15 + pos.X, RelativeHumidity: 55}
+		})
+		fl.ApplyInjector(faultinject.MustNew(faultinject.Plan{
+			Seed:             4,
+			FrameLossProb:    0.15,
+			FrameCorruptProb: 0.10,
+			DeadStations:     []int{0},
+		}))
+		serverTree, clientTree := e2eTraceScenario(t, fl)
+		return serverTree + clientTree
+	}
+	serial := run(1)
+	for _, k := range []int{3, 7} {
+		if got := run(k); got != serial {
+			t.Errorf("shards=%d diverged from 1-shard serial:\n--- shards=%d\n%s--- serial\n%s",
+				k, k, got, serial)
+		}
 	}
 }

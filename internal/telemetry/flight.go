@@ -24,9 +24,20 @@ type FlightEvent struct {
 // flightRing is one subsystem's bounded history.
 type flightRing struct {
 	// next counts every event ever recorded; the ring keeps the last
-	// len(buf) of them.
+	// len(buf) of them, event seq in slot (seq-1) % len(buf) once full.
 	next uint64
 	buf  []FlightEvent
+	// events is the subsystem's recorded-events counter.
+	events *Counter
+}
+
+// ordered returns the retained events, oldest first.
+func (r *flightRing) ordered() []FlightEvent {
+	if len(r.buf) == 0 {
+		return nil
+	}
+	oldest := int(r.next % uint64(len(r.buf)))
+	return append(append([]FlightEvent(nil), r.buf[oldest:]...), r.buf[:oldest]...)
 }
 
 // FlightRecorder is a black box: a bounded ring of recent structured events
@@ -64,13 +75,13 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{rings: make(map[string]*flightRing), capacity: capacity}
 }
 
-// Record appends one event to the subsystem's ring, evicting the oldest
+// Record appends one event to the subsystem's ring, overwriting the oldest
 // retained event once the ring is full.
 func (f *FlightRecorder) Record(subsystem, kind, detail string) {
 	f.mu.Lock()
 	r := f.rings[subsystem]
 	if r == nil {
-		r = &flightRing{}
+		r = &flightRing{events: mFlightEvents.With(subsystem)}
 		f.rings[subsystem] = r
 	}
 	r.next++
@@ -78,11 +89,10 @@ func (f *FlightRecorder) Record(subsystem, kind, detail string) {
 	if len(r.buf) < f.capacity {
 		r.buf = append(r.buf, ev)
 	} else {
-		copy(r.buf, r.buf[1:])
-		r.buf[len(r.buf)-1] = ev
+		r.buf[(r.next-1)%uint64(len(r.buf))] = ev
 	}
 	f.mu.Unlock()
-	mFlightEvents.With(subsystem).Inc()
+	r.events.Inc()
 }
 
 // Events returns every retained event, ordered by subsystem then sequence
@@ -101,7 +111,7 @@ func (f *FlightRecorder) eventsLocked() []FlightEvent {
 	sort.Strings(subs)
 	var out []FlightEvent
 	for _, s := range subs {
-		out = append(out, f.rings[s].buf...)
+		out = append(out, f.rings[s].ordered()...)
 	}
 	return out
 }
@@ -133,7 +143,7 @@ func (f *FlightRecorder) renderLocked() string {
 		r := f.rings[s]
 		overwritten := r.next - uint64(len(r.buf))
 		fmt.Fprintf(&b, "subsystem %s (%d recorded, %d overwritten):\n", s, r.next, overwritten)
-		for _, ev := range r.buf {
+		for _, ev := range r.ordered() {
 			fmt.Fprintf(&b, "  #%d %s", ev.Seq, ev.Kind)
 			if ev.Detail != "" {
 				fmt.Fprintf(&b, " %s", ev.Detail)

@@ -2,9 +2,10 @@ package telemetry
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
+
+	"ecocapsule/internal/prng"
 )
 
 // exactQuantile computes the rank-based quantile of sorted samples the same
@@ -40,10 +41,10 @@ func containingBucketWidth(bounds []float64, v float64) float64 {
 func TestHistogramQuantileProperty(t *testing.T) {
 	quantiles := []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := prng.New(seed)
 		reg := NewRegistry()
 		h := reg.Histogram("ecocapsule_telemetry_quantile_prop_seconds", "t", DefBuckets)
-		n := 50 + rng.Intn(500)
+		n := 50 + rng.IntN(500)
 		samples := make([]float64, n)
 		for i := range samples {
 			// Log-uniform over the bucketed range so every decade gets hits.
@@ -126,7 +127,7 @@ func TestHistogramQuantileEmptyAndClamp(t *testing.T) {
 func TestHistogramSummary(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("ecocapsule_telemetry_summary_seconds", "t", DefBuckets)
-	rng := rand.New(rand.NewSource(9))
+	rng := prng.New(9)
 	for i := 0; i < 300; i++ {
 		h.Observe(rng.Float64())
 	}

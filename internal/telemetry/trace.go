@@ -2,28 +2,35 @@ package telemetry
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
+
+	"ecocapsule/internal/prng"
 )
 
-// Tracer records trees of spans with IDs drawn from a seeded RNG: the same
-// seed and the same span-creation order reproduce the same tree byte for
-// byte, which is what lets one interrogation round be pinned as a golden
-// file. Wall-clock time is deliberately absent from the rendered tree —
-// durations would make goldens flaky — so spans carry their measurements as
-// explicit attributes instead.
+// Tracer records trees of spans with keyed, order-free IDs. A root's trace
+// and span ID derive from (seed, root ordinal); a child's span ID derives
+// from (parent trace, parent ID, child ordinal under that parent). A
+// subtree built by one goroutine therefore gets the same IDs and shape
+// whatever other goroutines trace at the same time, and the same seed
+// reproduces the same tree byte for byte — which is what lets one
+// interrogation round, or a survey fanned out over every core, be pinned
+// as a golden file. Wall-clock time is deliberately absent from the
+// rendered tree — durations would make goldens flaky — so spans carry their
+// measurements as explicit attributes instead.
 type Tracer struct {
-	mu sync.Mutex
+	mu   sync.Mutex
+	seed uint64
+	// opened counts the roots ever started: the next root's ordinal.
 	//ecolint:guardedby mu
-	rng *rand.Rand
+	opened uint64
 	//ecolint:guardedby mu
 	roots []*Span
 }
 
 // NewTracer returns a tracer whose span IDs derive from seed.
 func NewTracer(seed int64) *Tracer {
-	return &Tracer{rng: rand.New(rand.NewSource(seed))}
+	return &Tracer{seed: uint64(seed)}
 }
 
 // SpanContext identifies one span inside one trace — the part of a span
@@ -55,9 +62,18 @@ type attr struct{ key, val string }
 func (t *Tracer) Start(name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp := &Span{tracer: t, trace: t.rng.Uint64(), id: t.rng.Uint32(), name: name}
+	key := t.rootKeyLocked()
+	sp := &Span{tracer: t, trace: key, id: uint32(prng.Keyed(key)), name: name}
 	t.roots = append(t.roots, sp)
 	return sp
+}
+
+// rootKeyLocked claims the next root ordinal and returns its key. Caller
+// holds t.mu.
+func (t *Tracer) rootKeyLocked() uint64 {
+	n := t.opened
+	t.opened++
+	return prng.Keyed(t.seed, n)
 }
 
 // StartRemote opens a root span whose parent lives in another process:
@@ -68,17 +84,22 @@ func (t *Tracer) StartRemote(name string, parent SpanContext) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := parent
-	sp := &Span{tracer: t, trace: parent.TraceID, id: t.rng.Uint32(), name: name, remote: &p}
+	id := uint32(prng.Keyed(t.rootKeyLocked()))
+	sp := &Span{tracer: t, trace: parent.TraceID, id: id, name: name, remote: &p}
 	t.roots = append(t.roots, sp)
 	return sp
 }
 
-// Child opens a sub-span inside the parent's trace.
+// Child opens a sub-span inside the parent's trace. Its ID is keyed by the
+// parent and the child's ordinal under it, so children opened on one
+// parent from several goroutines get scheduling-dependent IDs and order;
+// open those before the fan-out.
 func (s *Span) Child(name string) *Span {
 	t := s.tracer
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp := &Span{tracer: t, trace: s.trace, id: t.rng.Uint32(), name: name}
+	id := uint32(prng.Keyed(s.trace, uint64(s.id), uint64(len(s.kids))))
+	sp := &Span{tracer: t, trace: s.trace, id: id, name: name}
 	s.kids = append(s.kids, sp)
 	return sp
 }
@@ -118,8 +139,8 @@ func (s *Span) End() {
 // ID returns the span's deterministic identifier.
 func (s *Span) ID() string { return fmt.Sprintf("%08x", s.id) }
 
-// Reset drops every recorded span (the RNG keeps advancing, so IDs across a
-// Reset stay unique within the tracer's lifetime).
+// Reset drops every recorded span. Root ordinals keep counting, so roots
+// started after a Reset get fresh IDs within the tracer's lifetime.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

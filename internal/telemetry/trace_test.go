@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,6 +47,70 @@ func TestTracerDeterministicIDs(t *testing.T) {
 	}
 	if strip(a) != strip(c) {
 		t.Errorf("seed must only change IDs\n--- a\n%s--- c\n%s", strip(a), strip(c))
+	}
+}
+
+// TestTracerSubtreesAreOrderFree pins the keyed-ID contract: two subtrees
+// built by concurrent goroutines render the same tree as when they are
+// built one after the other, because a child's ID depends only on its
+// parent and its ordinal under that parent.
+func TestTracerSubtreesAreOrderFree(t *testing.T) {
+	// build records one capsule's subtree, calling step between spans so
+	// the caller can interleave two builders.
+	build := func(parent *Span, step func()) {
+		read := parent.Child("read").Attr("sensor", "strain")
+		step()
+		for a := 0; a < 3; a++ {
+			att := read.Child("attempt").Attr("n", a)
+			step()
+			att.Child("deliver").Attr("outcome", "reply").End()
+			step()
+			att.End()
+		}
+		read.End()
+	}
+	// run opens the two capsule spans up front, then hands them to fill.
+	run := func(fill func(a, b *Span)) string {
+		tr := NewTracer(42)
+		root := tr.Start("survey")
+		a, b := root.Child("capsule").Attr("n", 0), root.Child("capsule").Attr("n", 1)
+		fill(a, b)
+		a.End()
+		b.End()
+		root.End()
+		return tr.Tree()
+	}
+	sequential := run(func(a, b *Span) {
+		build(a, func() {})
+		build(b, func() {})
+	})
+	// Lockstep: the goroutines pass a baton at every step, so they take
+	// strict turns, one span each — every ID is created in a different
+	// order from the sequential run. Both builders take the same number of
+	// steps, so A's last hand-off releases B's last wait.
+	lockstep := run(func(a, b *Span) {
+		baton := make(chan struct{})
+		pass := func() { baton <- struct{}{}; <-baton }
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); build(a, pass); baton <- struct{}{} }()
+		go func() { defer wg.Done(); <-baton; build(b, pass) }()
+		wg.Wait()
+	})
+	if lockstep != sequential {
+		t.Errorf("lockstep subtrees diverged from sequential\n--- lockstep\n%s--- sequential\n%s", lockstep, sequential)
+	}
+	for i := 0; i < 20; i++ {
+		free := run(func(a, b *Span) {
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); build(a, func() {}) }()
+			go func() { defer wg.Done(); build(b, func() {}) }()
+			wg.Wait()
+		})
+		if free != sequential {
+			t.Fatalf("concurrent subtrees diverged from sequential\n--- concurrent\n%s--- sequential\n%s", free, sequential)
+		}
 	}
 }
 

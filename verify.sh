@@ -119,6 +119,14 @@ stage "go test -race ./..."
 go test -race ./...
 stage_done
 
+# Schedule invariance: a survey — clean, and traced under an installed
+# fault injector — must render byte-identically at every shard count. The
+# GOMAXPROCS legs come from the test runner (-cpu), so the same property
+# holds with the pool inline (1) and fanned out (2, 4), under -race.
+stage "schedule invariance (-race -cpu 1,2,4)"
+go test -race -cpu 1,2,4 -run 'ShardCountInvariance|TracedFaulted' ./internal/fleet ./internal/shmwire
+stage_done
+
 # Cross-check: the hotalloc lint and the runtime AllocsPerRun tests must
 # agree that the PR-7 warm decode path is allocation-free. The lint
 # proves it for every control-flow path of every //ecolint:hotpath
